@@ -36,10 +36,12 @@ gc-check:
 
 ## trace-race: the tracing-enabled torture combo and the concurrency tests
 ## of the tracer/metrics registry, under the race detector (a focused
-## subset of `race`)
+## subset of `race`), plus 20 repeats of the EXPLAIN ANALYZE tests, whose
+## traced-vs-measured bound must hold on every run
 trace-race:
 	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans' ./internal/engine
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
+	$(GO) test -count=20 -run 'TestExplainAnalyze' ./internal/engine
 
 ## fuzz-smoke: run each fuzz target briefly (FUZZTIME per target)
 fuzz-smoke:

@@ -54,8 +54,8 @@ func analyzeQ1(t *testing.T, opts bipie.Options) *bipie.AnalyzeReport {
 // reports.
 func TestExplainAnalyzeQ1Coverage(t *testing.T) {
 	rep := analyzeQ1(t, bipie.Options{})
-	if rep.Rows != q1AnalyzeRows {
-		t.Fatalf("rows = %d, want %d", rep.Rows, q1AnalyzeRows)
+	if rep.Stats.RowsTotal != q1AnalyzeRows {
+		t.Fatalf("rows = %d, want %d", rep.Stats.RowsTotal, q1AnalyzeRows)
 	}
 	traced, measured := rep.TracedCyclesPerRow(), rep.MeasuredCyclesPerRow()
 	if traced <= 0 || measured <= 0 {

@@ -62,8 +62,7 @@ func TestPublicSurface(t *testing.T) {
 		Limit:  10,
 	}
 
-	var stats bipie.ScanStats
-	res, err := bipie.Run(tbl, q, bipie.Options{CollectStats: &stats})
+	res, err := bipie.Run(tbl, q, bipie.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +79,6 @@ func TestPublicSurface(t *testing.T) {
 				t.Fatalf("row %d agg %d mismatch", i, a)
 			}
 		}
-	}
-	if stats.Batches == 0 || stats.RowsTotal != 2100 {
-		t.Fatalf("stats: %+v", stats)
 	}
 	if res.AggNames[5] != "w_total" {
 		t.Fatalf("names: %v", res.AggNames)
@@ -108,6 +104,14 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ *bipie.Prepared = prep
+	_, stats, err := prep.RunStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var _ bipie.ScanStats = stats
+	if stats.Batches == 0 || stats.RowsTotal != 2100 {
+		t.Fatalf("stats: %+v", stats)
+	}
 	prepRes := make([]*bipie.Result, 4)
 	prepErr := make([]error, 4)
 	var wg sync.WaitGroup
@@ -142,23 +146,27 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatal("Prepared.Explain differs from one-shot Explain")
 	}
 
-	// Observability surface: a traced run fills ScanStats.Phases, the
+	// Observability surface: a traced run fills the trace's phases, the
 	// trace dumps valid Chrome JSON, ExplainAnalyze reports a measured
 	// breakdown matching the plain result, and the process registry
 	// snapshots.
 	trace := bipie.NewScanTrace(32)
 	var _ *bipie.ScanTrace = trace
-	var tracedStats bipie.ScanStats
-	tracedRes, err := bipie.Run(tbl, q, bipie.Options{Trace: trace, CollectStats: &tracedStats})
+	tracedRes, tracedStats, err := prep.RunTraced(context.Background(), trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tracedRes.Rows) != len(res.Rows) {
-		t.Fatalf("traced run: %d rows, want %d", len(tracedRes.Rows), len(res.Rows))
+	if len(tracedRes.Rows) != len(res.Rows) || tracedStats.RowsTotal != stats.RowsTotal {
+		t.Fatalf("traced run: %d rows over %d scanned, want %d over %d",
+			len(tracedRes.Rows), tracedStats.RowsTotal, len(res.Rows), stats.RowsTotal)
 	}
-	var phases []bipie.PhaseStat = tracedStats.Phases
-	if len(phases) == 0 {
-		t.Fatal("traced run left ScanStats.Phases empty")
+	var calls int64
+	for _, ps := range trace.Phases() {
+		var _ bipie.PhaseStat = ps
+		calls += ps.Calls
+	}
+	if calls == 0 {
+		t.Fatal("traced run left the trace's phases empty")
 	}
 	var chrome bytes.Buffer
 	if err := trace.WriteChromeTrace(&chrome); err != nil {

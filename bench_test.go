@@ -37,6 +37,21 @@ func reportCycles(b *testing.B, rowsPerOp int) {
 	b.ReportMetric(perfstat.CyclesPerRow(time.Duration(nsPerOp), rowsPerOp), "cycles/row")
 }
 
+// benchStats runs q once through Prepared.RunStats and returns the scan's
+// statistics; the sweeps use it to pin which encoded path a variant took.
+func benchStats(b *testing.B, tbl *bipie.Table, q *engine.Query, opts engine.Options) engine.ScanStats {
+	b.Helper()
+	p, err := engine.Prepare(tbl, q, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, st, err := p.RunStats(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkTable1GatherSelection reproduces Table 1: gather selection with
 // fused unpack at bit widths 5, 10, 20 and 50% selectivity.
 func BenchmarkTable1GatherSelection(b *testing.B) {
@@ -579,12 +594,7 @@ func BenchmarkSelectivitySweep(b *testing.B) {
 					// One instrumented run pins the counters (and guards
 					// against the encoder flipping the column off the
 					// bit-packed path, which would disable pushdown).
-					var st engine.ScanStats
-					opts := v.opts
-					opts.CollectStats = &st
-					if _, err := engine.Run(tbl, q, opts); err != nil {
-						b.Fatal(err)
-					}
+					st := benchStats(b, tbl, q, v.opts)
 					if v.name == "opt" && st.PackedKernelBatches+st.BatchesSkipped == 0 {
 						b.Fatalf("column %q not on the packed path: %+v", col, st)
 					}
@@ -643,12 +653,7 @@ func BenchmarkRLESelectivitySweep(b *testing.B) {
 			b.Run(fmt.Sprintf("sel=%g/%s", s, v.name), func(b *testing.B) {
 				// One instrumented run guards the span path (and catches
 				// the encoder ever taking "rate" off RLE).
-				var st engine.ScanStats
-				opts := v.opts
-				opts.CollectStats = &st
-				if _, err := engine.Run(tbl, q, opts); err != nil {
-					b.Fatal(err)
-				}
+				st := benchStats(b, tbl, q, v.opts)
 				if v.name == "opt" && st.RunSpanBatches == 0 {
 					b.Fatalf("span pipeline did not engage: %+v", st)
 				}
@@ -711,12 +716,7 @@ func BenchmarkDictFilter(b *testing.B) {
 		q := &engine.Query{Aggregates: aggs, Filter: p.pred}
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/%s", p.name, v.name), func(b *testing.B) {
-				var st engine.ScanStats
-				opts := v.opts
-				opts.CollectStats = &st
-				if _, err := engine.Run(tbl, q, opts); err != nil {
-					b.Fatal(err)
-				}
+				st := benchStats(b, tbl, q, v.opts)
 				if v.name == "opt" && st.DictFilterBatches == 0 {
 					b.Fatalf("dict-domain filter did not engage: %+v", st)
 				}
@@ -817,11 +817,11 @@ func BenchmarkAblationSkewedGroups(b *testing.B) {
 }
 
 // BenchmarkTracerOverhead prices the scan tracer on TPC-H Q1. The
-// disabled sub-benchmark is the acceptance gate: with Options.Trace nil
-// the nil-checked phase hooks must cost within noise of the untraced
-// baseline (≤2%, one predictable branch per phase boundary). The enabled
-// variants show the full price of phase totals and of per-batch span
-// capture.
+// disabled sub-benchmark is the acceptance gate: Run takes the untraced
+// path, whose nil-checked phase hooks must cost within noise of the
+// untraced baseline (≤2%, one predictable branch per phase boundary). The
+// enabled variants time RunTraced and show the full price of phase totals
+// and of per-batch span capture.
 func BenchmarkTracerOverhead(b *testing.B) {
 	tbl, err := tpch.Generate(tpch.GenOptions{Rows: benchRows, Seed: 1})
 	if err != nil {
@@ -836,17 +836,25 @@ func BenchmarkTracerOverhead(b *testing.B) {
 		{"enabled-spans", bipie.NewScanTrace(4096)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			p, err := engine.Prepare(tbl, tpch.Q1(), engine.Options{Trace: bc.trace, Parallelism: 1})
+			p, err := engine.Prepare(tbl, tpch.Q1(), engine.Options{Parallelism: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			if _, err := p.Run(ctx); err != nil {
+			run := func() error {
+				if bc.trace == nil {
+					_, err := p.Run(ctx)
+					return err
+				}
+				_, _, err := p.RunTraced(ctx, bc.trace)
+				return err
+			}
+			if err := run(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(ctx); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -224,14 +224,14 @@ func ExplainAnalyze(t *Table, q *Query, opts Options) (*AnalyzeReport, error) {
 	return engine.ExplainAnalyze(t, q, opts)
 }
 
-// ScanTrace collects per-phase cycle attribution for one scan; point
-// Options.Trace at one to trace a Run. The zero of attribution cost: a scan
-// with Options.Trace nil takes the untraced path — no clock reads, no
-// allocation, one predictable branch per phase boundary.
+// ScanTrace collects per-phase cycle attribution for one scan; pass one to
+// Prepared.RunTraced to trace a run. The zero of attribution cost: Run and
+// RunStats take the untraced path — no clock reads, no allocation, one
+// predictable branch per phase boundary.
 type ScanTrace = obs.ScanTrace
 
 // PhaseStat is one phase's accumulated nanoseconds, rows, and interval
-// count, exposed through ScanStats.Phases and ScanTrace.
+// count, exposed through ScanTrace.Phases.
 type PhaseStat = obs.PhaseStat
 
 // NewScanTrace builds a scan trace capturing up to spanCap per-batch spans
@@ -258,7 +258,7 @@ type HavingCond = engine.HavingCond
 
 // ScanStats records a scan's runtime decisions (per-batch selection
 // methods, per-segment strategies, elimination, measured selectivity);
-// populate via Options.CollectStats.
+// Prepared.RunStats and Prepared.RunTraced return one per run.
 type ScanStats = engine.ScanStats
 
 // RunNaive executes a query with a classical row-at-a-time hash

@@ -85,13 +85,10 @@ type AnalyzeReport struct {
 	Plans  []SegmentPlan
 	Result *Result
 	Stats  ScanStats
-	// Wall is the end-to-end scan duration; UnitNanos sums the scan
-	// units' on-core time (equal to Wall minus driver overhead on one
-	// worker, larger than Wall under parallelism).
+	// Wall is the end-to-end scan duration. Trace.UnitNanos sums the scan
+	// units' wall time with tracer setup excluded (Wall minus driver
+	// overhead on one worker, larger than Wall under parallelism).
 	Wall       time.Duration
-	UnitNanos  int64
-	Rows       int64 // rows scanned (Stats.RowsTotal)
-	Hz         float64
 	Phases     []PhaseCost
 	Strategies []StrategyCost
 	// Model compares the cost model's per-phase predictions against the
@@ -113,10 +110,9 @@ func ExplainAnalyze(t *table.Table, q *Query, opts Options) (*AnalyzeReport, err
 	return p.ExplainAnalyze(context.Background())
 }
 
-// ExplainAnalyze executes the prepared query once with tracing enabled and
-// reports the measured cost breakdown. It collects into private trace and
-// stats targets, so it is safe alongside concurrent Runs and leaves
-// Options.CollectStats and Options.Trace untouched.
+// ExplainAnalyze executes the prepared query once under its own trace and
+// reports the measured cost breakdown, so it is safe alongside concurrent
+// Runs.
 func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	plans, err := p.Explain()
 	if err != nil {
@@ -125,26 +121,23 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	// Warm up with one untraced pass so the measured run sees steady
 	// state — pooled exec buffers built and pages faulted in — the same
 	// regime the benchmarks report. The diagnostic costs one extra scan.
-	if _, _, err := p.runScan(ctx, nil, nil); err != nil {
+	if _, err := p.Run(ctx); err != nil {
 		return nil, err
 	}
 	trace := obs.NewScanTrace(analyzeSpanCap)
 	start := time.Now()
-	res, stats, err := p.runScan(ctx, trace, nil)
+	res, stats, err := p.RunTraced(ctx, trace)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
 
 	rep := &AnalyzeReport{
-		Plans:     plans,
-		Result:    res,
-		Stats:     stats,
-		Wall:      wall,
-		UnitNanos: trace.UnitNanos(),
-		Rows:      stats.RowsTotal,
-		Hz:        perfstat.Hz(),
-		Trace:     trace,
+		Plans:  plans,
+		Result: res,
+		Stats:  stats,
+		Wall:   wall,
+		Trace:  trace,
 	}
 	for p, ps := range trace.Phases() {
 		rep.Phases = append(rep.Phases, PhaseCost{
@@ -245,12 +238,13 @@ func (r *AnalyzeReport) TracedCyclesPerRow() float64 {
 	return total
 }
 
-// MeasuredCyclesPerRow is the scan's end-to-end cost: unit on-core time
-// plus driver-side phases, over scanned rows. On a single worker this
-// tracks the wall-clock cycles/row the benchmarks report; under
-// parallelism it reports summed core time rather than elapsed time.
+// MeasuredCyclesPerRow is the scan's end-to-end cost: summed unit wall
+// time (tracer setup excluded) plus driver-side phases, over scanned rows.
+// On a single worker this tracks the wall-clock cycles/row the benchmarks
+// report; under parallelism it sums the units' time rather than reporting
+// elapsed time.
 func (r *AnalyzeReport) MeasuredCyclesPerRow() float64 {
-	nanos := r.UnitNanos
+	nanos := r.Trace.UnitNanos()
 	for _, pc := range r.Phases {
 		if pc.Phase == obs.PhasePlan.String() {
 			nanos += pc.Nanos
@@ -268,11 +262,11 @@ func (r *AnalyzeReport) MeasuredCyclesPerRow() float64 {
 	if mergeDriver > 0 {
 		nanos += mergeDriver
 	}
-	return perfstat.CyclesPerRow(time.Duration(nanos), int(r.Rows))
+	return perfstat.CyclesPerRow(time.Duration(nanos), int(r.Stats.RowsTotal))
 }
 
 // Coverage is traced over measured cycles/row: how much of the scan's
-// on-core time the phase attribution explains. The remainder is untimed
+// measured unit time the phase attribution explains. The remainder is untimed
 // driver glue — batch-loop overhead, pool churn, selection-method choice.
 func (r *AnalyzeReport) Coverage() float64 {
 	m := r.MeasuredCyclesPerRow()
@@ -290,7 +284,7 @@ func (r *AnalyzeReport) Format() string {
 	fmt.Fprintf(&b, "\nrows:     %d scanned, %d selected (%.1f%%)\n",
 		r.Stats.RowsTotal, r.Stats.RowsSelected, 100*r.Stats.AvgSelectivity())
 	fmt.Fprintf(&b, "wall:     %v over %d unit(s) — %.2f cycles/row at %.2f GHz\n",
-		r.Wall.Round(time.Microsecond), r.Trace.Units(), r.MeasuredCyclesPerRow(), r.Hz/1e9)
+		r.Wall.Round(time.Microsecond), r.Trace.Units(), r.MeasuredCyclesPerRow(), perfstat.Hz()/1e9)
 	b.WriteString("phases (cycles/row over scanned rows):\n")
 	for _, pc := range r.Phases {
 		if pc.Calls == 0 {

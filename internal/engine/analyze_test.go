@@ -37,8 +37,8 @@ func TestExplainAnalyzeReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rows != 40000 {
-		t.Fatalf("rows = %d, want 40000", rep.Rows)
+	if rep.Stats.RowsTotal != 40000 {
+		t.Fatalf("rows = %d, want 40000", rep.Stats.RowsTotal)
 	}
 	if rep.Result == nil || len(rep.Result.Rows) == 0 {
 		t.Fatal("analyze lost the query result")
@@ -210,37 +210,41 @@ func TestTraceEnabledSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// A traced scan fills the caller's ScanTrace with per-phase time alongside
+// its ScanStats; an untraced run of the same Prepared leaves that trace alone.
 func TestRunWithTraceFillsStatsPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(153))
 	tbl := buildTable(t, rng, 20000, 4, 6000)
-	q := analyzeQuery()
-
-	var plain ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &plain}); err != nil {
+	p, err := Prepare(tbl, analyzeQuery(), Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Phases != nil {
-		t.Fatalf("untraced scan filled Phases: %+v", plain.Phases)
-	}
 
-	var stats ScanStats
 	trace := obs.NewScanTrace(0)
-	if _, err := Run(tbl, q, Options{CollectStats: &stats, Trace: trace}); err != nil {
+	_, stats, err := p.RunTraced(context.Background(), trace)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Phases) != int(obs.NumPhases) {
-		t.Fatalf("traced scan Phases len = %d, want %d", len(stats.Phases), obs.NumPhases)
+	if stats.RowsTotal != 20000 {
+		t.Fatalf("traced scan RowsTotal = %d, want 20000", stats.RowsTotal)
 	}
+	phases := trace.Phases()
 	var nanos int64
-	for _, ps := range stats.Phases {
+	for _, ps := range phases {
 		nanos += ps.Nanos
 	}
 	if nanos <= 0 {
 		t.Fatal("traced scan attributed no time")
 	}
-	out := stats.Format()
-	if !strings.Contains(out, "phases:") || !strings.Contains(out, "aggregate") {
-		t.Fatalf("Format lost the phase breakdown:\n%s", out)
+	if phases[obs.PhaseAggregate].Calls == 0 {
+		t.Fatalf("traced scan recorded no %s calls: %+v", obs.PhaseAggregate, phases)
+	}
+
+	if _, _, err := p.RunStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := trace.Phases(); got != phases {
+		t.Fatalf("untraced run changed the trace:\nbefore %+v\nafter  %+v", phases, got)
 	}
 }
 

@@ -198,8 +198,7 @@ func TestSpanAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st ScanStats
-		got, err := Run(tbl, q, Options{CollectStats: &st})
+		got, st, err := runStats(tbl, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +220,7 @@ func TestSpanAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ScanStats
-	got, err := Run(tbl, q, Options{CollectStats: &st})
+	got, st, err := runStats(tbl, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +237,7 @@ func TestSpanAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = ScanStats{}
-	got, err = Run(tbl, q, Options{CollectStats: &st})
+	got, st, err = runStats(tbl, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

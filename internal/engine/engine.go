@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bipie/internal/colstore"
@@ -54,23 +55,6 @@ type Options struct {
 	// the residual path instead of the endpoint-pruning pushdown. For
 	// ablation.
 	DisableDeltaDomain bool
-	// CollectStats, when non-nil, receives the scan's runtime decisions:
-	// per-batch selection choices, per-segment strategies, elimination
-	// counts, measured selectivity. Each execution overwrites the target,
-	// so concurrent Run calls on one Prepared see interleaved garbage
-	// unless CollectStats is nil; point it at stats only for single-scan
-	// diagnostics.
-	CollectStats *ScanStats
-	// Trace, when non-nil, turns on per-phase cycle attribution: every
-	// scan unit gets a tracer and the per-phase totals (and, with
-	// ScanTrace.SpanCap > 0, per-batch spans) merge into the target. Each
-	// execution resets the target, so like CollectStats it is meaningful
-	// for one scan at a time — though unlike CollectStats the ScanTrace is
-	// internally locked, so concurrent Runs interleave without racing.
-	// Nil (the default) keeps the scan on the untraced path: one
-	// predictable branch per phase boundary, no allocation, no clock
-	// reads.
-	Trace *obs.ScanTrace
 	// CostProfile overrides the cost model driving strategy decisions
 	// (aggregation strategy, packed-vs-unpack filtering, the selection
 	// crossover). Nil means the process-wide profile from
@@ -132,38 +116,33 @@ func Run(t *table.Table, q *Query, opts Options) (*Result, error) {
 // partials. Cancelling ctx stops the scan between batch ranges and returns
 // ctx's error.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
-	res, _, err := p.runScan(ctx, p.opts.Trace, p.opts.CollectStats)
+	res, _, err := p.runScan(ctx, nil)
 	return res, err
 }
 
 // RunStats executes the prepared query like Run and additionally returns
-// the scan's statistics by value. Unlike Options.CollectStats — which
-// aliases one shared target across every execution of the Prepared —
-// each RunStats call receives its own copy, so any number of concurrent
-// callers (the serving layer reports rows scanned per request) each see
-// exactly their own scan's numbers.
+// the scan's statistics by value, so any number of concurrent callers (the
+// serving layer reports rows scanned per request) each see exactly their
+// own scan's numbers. A failed scan's stats carry only the segment counts.
 func (p *Prepared) RunStats(ctx context.Context) (*Result, ScanStats, error) {
-	return p.runScan(ctx, p.opts.Trace, p.opts.CollectStats)
+	return p.runScan(ctx, nil)
 }
 
-// RunTraced executes the prepared query with per-phase cycle attribution
-// collected into the caller's ScanTrace, and returns the scan statistics
-// by value (Phases filled from the trace). Unlike Options.Trace — which
-// aliases one shared target across every execution — each caller owns its
-// trace, so concurrent requests each get exactly their own scan's
-// attribution: the serving layer attaches a pooled ScanTrace per request
-// and journals the per-phase breakdown. trace must be non-nil; SpanCap 0
-// keeps the per-unit cost to one Tracer allocation (no span buffers).
+// RunTraced executes the prepared query like RunStats with per-phase cycle
+// attribution collected into the caller's ScanTrace, which the run resets
+// first. Each caller owns its trace, so concurrent requests each get
+// exactly their own scan's attribution: the serving layer attaches a
+// pooled ScanTrace per request and journals the per-phase breakdown.
+// trace must be non-nil; SpanCap 0 keeps the per-unit cost to one Tracer
+// allocation (no span buffers).
 func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result, ScanStats, error) {
-	return p.runScan(ctx, trace, nil)
+	return p.runScan(ctx, trace)
 }
 
-// runScan is the scan driver behind Run and ExplainAnalyze: it takes
-// explicit trace and stats targets (either may be nil) so a diagnostic
-// execution can collect into private targets without mutating the shared
-// Options, and returns the collected stats by value. Process-wide metrics
+// runScan is the scan driver behind Run, RunStats and RunTraced. A nil
+// trace keeps the scan on the untraced path. Process-wide metrics
 // (obs.Default()) are always fed.
-func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *ScanStats) (*Result, ScanStats, error) {
+func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace) (*Result, ScanStats, error) {
 	var stats ScanStats
 	metricScansStarted.Inc()
 	if trace != nil {
@@ -191,9 +170,6 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 	}
 	stats.SegmentsScanned = len(plans)
 	stats.SegmentsEliminated = eliminated
-	if statsOut != nil {
-		*statsOut = stats
-	}
 
 	workers := resolveWorkers(p.opts.Parallelism)
 
@@ -232,74 +208,70 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 		}
 	}
 
+	// min(workers, units) goroutines pull unit indexes from one counter.
+	// Each finished unit folds its stats, trace and metrics under mu and
+	// returns its exec state to the pool before the worker takes the next.
 	partials := make([][]Row, len(units))
-	execs := make([]*execState, len(units))
-	errs := make([]error, len(units))
-	unitNanos := make([]int64, len(units))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, u := range units {
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := min(workers, len(units)); w > 0; w-- {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u unit) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			start := time.Now()
-			e := u.plan.getExec()
-			execs[i] = e
-			if trace != nil {
-				e.trace = trace.StartUnit(u.plan.strategy.String())
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(units) {
+					return
+				}
+				u := units[i]
+				e := u.plan.getExec()
+				if trace != nil {
+					e.trace = trace.StartUnit(u.plan.strategy.String())
+				}
+				// The clock starts after StartUnit: the span buffer it
+				// allocates belongs to no phase, so timing it would leave
+				// unit time the phase attribution cannot account for.
+				start := time.Now()
+				err := e.scanBatches(ctx, u.batches)
+				if err == nil {
+					t0 := e.traceStart()
+					partials[i] = e.finalize()
+					e.traceEnd(obs.PhaseMerge, t0, 0)
+				}
+				nanos := int64(time.Since(start))
+				mu.Lock()
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
+					}
+				} else {
+					stats.merge(&e.stats, u.plan.strategy)
+					recordUnitMetrics(u.plan.strategy, nanos, e.stats.rowsTotal)
+				}
+				if e.trace != nil {
+					trace.EndUnit(e.trace, nanos, e.stats.rowsTotal)
+				}
+				mu.Unlock()
+				e.release()
 			}
-			if err := e.scanBatches(ctx, u.batches); err != nil {
-				errs[i] = err
-				unitNanos[i] = int64(time.Since(start))
-				return
-			}
-			t0 := e.traceStart()
-			partials[i] = e.finalize()
-			e.traceEnd(obs.PhaseMerge, t0, 0)
-			unitNanos[i] = int64(time.Since(start))
-		}(i, u)
+		}()
 	}
 	wg.Wait()
 
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	for i, e := range execs {
-		if e == nil {
-			continue
-		}
-		if firstErr == nil {
-			stats.merge(&e.stats, units[i].plan.strategy)
-			recordUnitMetrics(units[i].plan.strategy, unitNanos[i], e.stats.rowsTotal)
-		}
-		if e.trace != nil {
-			trace.EndUnit(e.trace, unitNanos[i], e.stats.rowsTotal)
-			e.trace = nil
-		}
-		e.release()
-	}
 	if firstErr != nil {
 		metricScanErrors.Inc()
-		return nil, stats, firstErr
+		return nil, ScanStats{SegmentsScanned: len(plans), SegmentsEliminated: eliminated}, firstErr
 	}
 	mergeStart := time.Now()
 	res := mergePartials(p.q, partials)
 	if trace != nil {
 		trace.Add(obs.PhaseMerge, time.Since(mergeStart), 0)
-		stats.Phases = trace.PhaseSlice()
 	}
 	recordScanMetrics(&stats)
-	if statsOut != nil {
-		*statsOut = stats
-	}
 	return res, stats, nil
 }
 

@@ -575,8 +575,8 @@ func TestGroupDomainBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "256 groups forced special", got, want)
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
+	_, st, err := runStats(tbl, q, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SpecialGroup != 0 {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bipie/internal/expr"
+	"bipie/internal/obs"
 	"bipie/internal/table"
 )
 
@@ -262,37 +265,97 @@ func TestPreparedSeesNewRows(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns to context.Canceled after n
+// checks. The scan checks once per batch, so a scan under it fails partway
+// through, after some units have already finished and folded their stats.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestPreparedRunCancelled checks cancellation is honoured between batch
-// ranges: a cancelled context aborts the scan with the context's error.
+// ranges: a cancelled context aborts the scan with the context's error,
+// through every entry point, at every worker count, on tables with fewer
+// and with more segments than workers. A failed scan's stats carry only
+// the segment counts, and the same Prepared still answers correctly after.
 func TestPreparedRunCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	tbl := buildTable(t, rng, 20000, 4, 6000)
 	q := &Query{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar()}}
-	p, err := Prepare(tbl, q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	run := map[string]func(*Prepared, context.Context) (ScanStats, error){
+		"Run": func(p *Prepared, ctx context.Context) (ScanStats, error) {
+			_, err := p.Run(ctx)
+			return ScanStats{}, err
+		},
+		"RunStats": func(p *Prepared, ctx context.Context) (ScanStats, error) {
+			_, st, err := p.RunStats(ctx)
+			return st, err
+		},
+		"RunTraced": func(p *Prepared, ctx context.Context) (ScanStats, error) {
+			_, st, err := p.RunTraced(ctx, obs.NewScanTrace(0))
+			return st, err
+		},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run with cancelled context: err = %v, want %v", err, context.Canceled)
+	ctxs := map[string]func() context.Context{
+		"pre-cancelled": func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx
+		},
+		"mid-scan": func() context.Context { return newCancelAfter(3) },
 	}
-	// The same Prepared still works with a live context afterwards.
-	got, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for _, segRows := range []int{6000, 1500} { // 4 and 14 segments
+		rng := rand.New(rand.NewSource(93))
+		tbl := buildTable(t, rng, 20000, 4, segRows)
+		want, err := RunNaive(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for par := 1; par <= 4; par++ {
+			p, err := Prepare(tbl, q, Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, runFn := range run {
+				for cname, mkCtx := range ctxs {
+					label := fmt.Sprintf("segRows=%d par=%d %s %s", segRows, par, name, cname)
+					st, err := runFn(p, mkCtx())
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: err = %v, want %v", label, err, context.Canceled)
+					}
+					if name == "Run" {
+						continue
+					}
+					segOnly := ScanStats{SegmentsScanned: st.SegmentsScanned, SegmentsEliminated: st.SegmentsEliminated}
+					if st.SegmentsScanned == 0 || !reflect.DeepEqual(st, segOnly) {
+						t.Fatalf("%s: failed scan stats carry more than segment counts: %+v", label, st)
+					}
+				}
+			}
+			// The same Prepared still works with a live context afterwards.
+			got, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, fmt.Sprintf("segRows=%d par=%d after cancel", segRows, par), got, want)
+		}
 	}
-	want, err := RunNaive(tbl, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "after cancel", got, want)
 }
 
 // TestPreparedRunStats pins RunStats's per-caller contract: the result
 // matches Run, and each concurrent caller gets its own stats copy with
-// the scan's true row counts — unlike Options.CollectStats, which
-// aliases one shared target across executions.
+// the scan's true row counts.
 func TestPreparedRunStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	tbl := buildTable(t, rng, 20000, 4, 6000)

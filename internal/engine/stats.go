@@ -3,11 +3,8 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bipie/internal/agg"
-	"bipie/internal/obs"
-	"bipie/internal/perfstat"
 	"bipie/internal/sel"
 )
 
@@ -15,8 +12,9 @@ import (
 // eliminated by metadata, which selection method each batch chose from its
 // measured selectivity, and which aggregation strategy each segment ran.
 // It makes the paper's runtime adaptivity (§3: per-segment strategy,
-// per-batch selection) observable and testable. Populate by setting
-// Options.CollectStats.
+// per-batch selection) observable and testable. Prepared.RunStats and
+// Prepared.RunTraced return one per run; per-phase cycle attribution lives
+// in the ScanTrace a RunTraced caller passes in.
 type ScanStats struct {
 	// SegmentsScanned and SegmentsEliminated partition the segment list.
 	SegmentsScanned    int
@@ -61,11 +59,6 @@ type ScanStats struct {
 	// Strategies counts scan units per aggregation strategy (a segment
 	// split across workers counts once per unit).
 	Strategies map[string]int
-	// Phases is the per-phase cycle attribution, indexed by obs.Phase,
-	// filled only when the scan ran with Options.Trace set (nil
-	// otherwise). Nanos/Rows/Calls per phase; convert to cycles with
-	// perfstat.
-	Phases []obs.PhaseStat
 }
 
 // SelBuckets is the number of SelectivityHist buckets.
@@ -132,16 +125,6 @@ func (s *ScanStats) Format() string {
 		}
 		b.WriteString("\n")
 	}
-	if len(s.Phases) > 0 {
-		b.WriteString("phases:  ")
-		for p, ps := range s.Phases {
-			if ps.Calls == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, " %s %.2f", obs.Phase(p), perfstat.CyclesPerRow(time.Duration(ps.Nanos), int(s.RowsTotal)))
-		}
-		b.WriteString(" cycles/row\n")
-	}
 	var strategies []string
 	for name, n := range s.Strategies {
 		strategies = append(strategies, fmt.Sprintf("%s×%d", name, n))
@@ -152,8 +135,8 @@ func (s *ScanStats) Format() string {
 	return b.String()
 }
 
-// unitStats is the per-scan-unit counter block, merged under Run's control
-// after workers finish, so the hot loop touches no shared state.
+// unitStats is the per-scan-unit counter block, merged by the scan driver
+// once the unit finishes, so the hot loop touches no shared state.
 type unitStats struct {
 	batches      int64
 	noSelection  int64

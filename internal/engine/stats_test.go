@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,16 @@ import (
 	"bipie/internal/expr"
 	"bipie/internal/table"
 )
+
+// runStats is the one-shot Run returning the scan's statistics: Prepare
+// followed by Prepared.RunStats.
+func runStats(tbl *table.Table, q *Query, opts Options) (*Result, ScanStats, error) {
+	p, err := Prepare(tbl, q, opts)
+	if err != nil {
+		return nil, ScanStats{}, err
+	}
+	return p.RunStats(context.Background())
+}
 
 // ScanStats must reflect the scan's actual runtime decisions: selectivity
 // drives the per-batch selection choice exactly as the paper's adaptivity
@@ -21,8 +32,8 @@ func TestScanStatsAdaptivity(t *testing.T) {
 	}
 
 	// No filter: every batch processes whole.
-	var st ScanStats
-	if _, err := Run(tbl, base, Options{CollectStats: &st, Parallelism: 1}); err != nil {
+	_, st, err := runStats(tbl, base, Options{Parallelism: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SegmentsScanned != 4 || st.SegmentsEliminated != 0 {
@@ -41,8 +52,7 @@ func TestScanStatsAdaptivity(t *testing.T) {
 	// Very selective filter (~2%): gather everywhere.
 	q := *base
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(2))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
+	if _, st, err = runStats(tbl, &q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Gather == 0 || st.SpecialGroup != 0 {
@@ -67,8 +77,7 @@ func TestScanStatsAdaptivity(t *testing.T) {
 
 	// Barely-filtering predicate (~95%): special group everywhere.
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(95))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
+	if _, st, err = runStats(tbl, &q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.SpecialGroup == 0 || st.Gather != 0 {
@@ -77,8 +86,7 @@ func TestScanStatsAdaptivity(t *testing.T) {
 
 	// Filter rejecting everything in one segment range via elimination.
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(-1))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
+	if _, st, err = runStats(tbl, &q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.SegmentsEliminated != 4 || st.SegmentsScanned != 0 {
@@ -101,8 +109,8 @@ func TestScanStatsEmptyBatches(t *testing.T) {
 		Aggregates: []Aggregate{CountStar()},
 		Filter:     expr.Lt(expr.Col("v"), expr.Int(100)), // only rows in the first batch
 	}
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
+	_, st, err := runStats(tbl, q, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.EmptyBatches == 0 {
@@ -128,8 +136,7 @@ func TestScanStatsZoneSkip(t *testing.T) {
 		Aggregates: []Aggregate{CountStar()},
 		Filter:     expr.Lt(expr.Col("v"), expr.Int(100)), // only batch 0 can match
 	}
-	var st ScanStats
-	got, err := Run(tbl, q, Options{CollectStats: &st})
+	got, st, err := runStats(tbl, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +157,16 @@ func TestScanStatsZoneSkip(t *testing.T) {
 		{DisablePackedFilter: true},
 		{DisableZoneMaps: true, DisablePackedFilter: true},
 	} {
-		opts.CollectStats = &ScanStats{}
-		ablated, err := Run(tbl, q, opts)
+		ablated, ast, err := runStats(tbl, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameResult(t, "ablation", ablated, got)
-		if opts.DisableZoneMaps && opts.CollectStats.BatchesSkipped != 0 {
-			t.Fatalf("zone maps disabled but batches skipped: %+v", opts.CollectStats)
+		if opts.DisableZoneMaps && ast.BatchesSkipped != 0 {
+			t.Fatalf("zone maps disabled but batches skipped: %+v", ast)
 		}
-		if opts.DisablePackedFilter && opts.CollectStats.PackedKernelBatches != 0 {
-			t.Fatalf("packed kernels disabled but counted: %+v", opts.CollectStats)
+		if opts.DisablePackedFilter && ast.PackedKernelBatches != 0 {
+			t.Fatalf("packed kernels disabled but counted: %+v", ast)
 		}
 	}
 }
@@ -189,8 +195,8 @@ func TestScanStatsZeroRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &Query{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar()}}
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
+	_, st, err := runStats(tbl, q, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.RowsTotal != 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,20 +36,29 @@ func TestTortureDifferential(t *testing.T) {
 				// parallel scan — with -race this pins that tracing does
 				// not perturb results and that concurrent units merging
 				// into one ScanTrace are race-free.
-				combos := []Options{
+				combos := []struct {
+					opts   Options
+					traced bool
+				}{
 					{},
-					{
+					{opts: Options{
 						ForceSelection:   []*sel.Method{nil, ForceSel(sel.MethodGather), ForceSel(sel.MethodCompact), ForceSel(sel.MethodSpecialGroup)}[rng.Intn(4)],
 						ForceAggregation: []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyMultiAggregate)}[rng.Intn(4)],
 						Parallelism:      1 + rng.Intn(4),
-					},
-					{
-						Trace:       obs.NewScanTrace(64),
-						Parallelism: 2 + rng.Intn(3),
-					},
+					}},
+					{opts: Options{Parallelism: 2 + rng.Intn(3)}, traced: true},
 				}
-				for ci, opts := range combos {
-					got, err := Run(tbl, q, opts)
+				for ci, c := range combos {
+					p, err := Prepare(tbl, q, c.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got *Result
+					if c.traced {
+						got, _, err = p.RunTraced(context.Background(), obs.NewScanTrace(64))
+					} else {
+						got, err = p.Run(context.Background())
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -120,8 +120,8 @@ func TestScanTraceMergeAndGroups(t *testing.T) {
 	if tr.Units() != 3 {
 		t.Fatalf("units = %d, want 3", tr.Units())
 	}
-	if tr.UnitNanos() != 60 || tr.Rows() != 600 {
-		t.Fatalf("unitNanos/rows = %d/%d, want 60/600", tr.UnitNanos(), tr.Rows())
+	if tr.UnitNanos() != 60 {
+		t.Fatalf("unitNanos = %d, want 60", tr.UnitNanos())
 	}
 	ph := tr.Phases()
 	if ph[PhaseAggregate].Rows != 300 || ph[PhaseAggregate].Calls != 2 {
@@ -138,6 +138,9 @@ func TestScanTraceMergeAndGroups(t *testing.T) {
 	if g := groups[0]; g.Units != 2 || g.Rows != 400 || g.Nanos != 40 {
 		t.Fatalf("Scalar group = %+v", g)
 	}
+	if g := groups[1]; g.Units != 1 || g.Rows != 200 || g.Nanos != 20 {
+		t.Fatalf("Sort group = %+v", g)
+	}
 
 	// The driver span carries Unit -1 so trace viewers put it on its own
 	// track.
@@ -150,12 +153,6 @@ func TestScanTraceMergeAndGroups(t *testing.T) {
 	if driverSpans != 1 {
 		t.Fatalf("driver spans = %d, want 1", driverSpans)
 	}
-
-	// PhaseSlice mirrors Phases as the []PhaseStat shape ScanStats carries.
-	sl := tr.PhaseSlice()
-	if len(sl) != int(NumPhases) || sl[PhaseAggregate] != ph[PhaseAggregate] {
-		t.Fatalf("PhaseSlice mismatch: %+v", sl)
-	}
 }
 
 func TestBeginScanResets(t *testing.T) {
@@ -167,7 +164,7 @@ func TestBeginScanResets(t *testing.T) {
 	tr.Add(PhasePlan, time.Microsecond, 0)
 
 	tr.BeginScan()
-	if tr.Units() != 0 || tr.Rows() != 0 || tr.UnitNanos() != 0 || tr.Dropped() != 0 {
+	if tr.Units() != 0 || tr.UnitNanos() != 0 || tr.Dropped() != 0 {
 		t.Fatal("BeginScan left unit accounting behind")
 	}
 	if len(tr.Spans()) != 0 {
@@ -412,8 +409,8 @@ func TestScanTraceConcurrentUnits(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Units() != units || tr.Rows() != units*10*4096 {
-		t.Fatalf("units/rows = %d/%d", tr.Units(), tr.Rows())
+	if g := tr.Groups(); tr.Units() != units || len(g) != 1 || g[0].Rows != units*10*4096 {
+		t.Fatalf("units/groups = %d/%+v", tr.Units(), g)
 	}
 	if got := tr.Phases()[PhaseAggregate].Calls; got != units*10 {
 		t.Fatalf("aggregate calls = %d, want %d", got, units*10)

@@ -67,11 +67,10 @@ type UnitGroup struct {
 }
 
 // A ScanTrace collects one scan's phase attribution: the merge target for
-// per-unit Tracers plus driver-side phases. The engine resets it at every
-// scan start (the same overwrite-per-run contract as Options.CollectStats:
-// point one ScanTrace at one scan at a time for meaningful numbers), but
-// all mutation is mutex-guarded, so concurrent scans sharing a ScanTrace
-// are race-free — they interleave, they do not corrupt.
+// per-unit Tracers plus driver-side phases. Prepared.RunTraced resets it at
+// scan start, so pass one ScanTrace to one scan at a time for meaningful
+// numbers; all mutation is mutex-guarded, so concurrent scans sharing a
+// ScanTrace are race-free — they interleave, they do not corrupt.
 //
 // SpanCap bounds the per-unit span buffer; 0 records phase totals only.
 type ScanTrace struct {
@@ -82,7 +81,6 @@ type ScanTrace struct {
 	nextUnit  int32
 	unitsDone int
 	unitNanos int64
-	rows      int64
 	phases    [NumPhases]PhaseStat
 	spans     []Span
 	dropped   int64
@@ -104,7 +102,6 @@ func (s *ScanTrace) BeginScan() {
 	s.nextUnit = 0
 	s.unitsDone = 0
 	s.unitNanos = 0
-	s.rows = 0
 	s.phases = [NumPhases]PhaseStat{}
 	s.spans = s.spans[:0]
 	s.dropped = 0
@@ -137,7 +134,6 @@ func (s *ScanTrace) EndUnit(t *Tracer, unitNanos, rows int64) {
 	s.dropped += t.dropped
 	s.unitsDone++
 	s.unitNanos += unitNanos
-	s.rows += rows
 	if s.groups == nil {
 		s.groups = make(map[string]*UnitGroup)
 	}
@@ -173,15 +169,6 @@ func (s *ScanTrace) Phases() [NumPhases]PhaseStat {
 	return s.phases
 }
 
-// PhaseSlice returns the merged totals as a slice indexed by Phase, the
-// shape ScanStats.Phases exposes.
-func (s *ScanTrace) PhaseSlice() []PhaseStat {
-	ph := s.Phases()
-	out := make([]PhaseStat, NumPhases)
-	copy(out, ph[:])
-	return out
-}
-
 // Units returns how many scan units have merged in since BeginScan.
 func (s *ScanTrace) Units() int {
 	s.mu.Lock()
@@ -189,20 +176,14 @@ func (s *ScanTrace) Units() int {
 	return s.unitsDone
 }
 
-// UnitNanos returns the summed wall time of merged scan units — the traced
-// scan's total on-core time, robust under parallelism where the scan's
-// wall clock is not.
+// UnitNanos returns the summed wall time of merged scan units, timed from
+// after StartUnit (tracer setup excluded) to the unit's finish. Unlike the
+// scan's elapsed time it is additive across parallel units; it still
+// includes any time a unit's goroutine spent descheduled.
 func (s *ScanTrace) UnitNanos() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.unitNanos
-}
-
-// Rows returns the rows scanned by merged units.
-func (s *ScanTrace) Rows() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
 }
 
 // Dropped returns how many spans were discarded because a unit's span
